@@ -62,7 +62,7 @@ use pr_core::{Metrics, StrategyKind};
 use pr_graph::{CandidateRollback, Cycle};
 use pr_lock::RequestOutcome;
 use pr_model::{EntityId, LockIndex, LockMode, Op, StateIndex, TransactionProgram, TxnId, Value};
-use pr_storage::GlobalStore;
+use pr_storage::{GlobalStore, Snapshot};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -607,21 +607,44 @@ impl Core<'_> {
 /// the lock-word slab + sharded lock table seeded from `store`.
 ///
 /// On success every transaction has committed; the outcome carries the
-/// final snapshot, the stamped access history for the serializability
-/// oracle, merged metrics, and per-transaction rollback accounting. The
-/// first worker error aborts the whole run.
+/// full final snapshot, the stamped access history for the
+/// serializability oracle, merged metrics, and per-transaction rollback
+/// accounting. The first worker error aborts the whole run.
 pub fn run_parallel(
     programs: &[TransactionProgram],
     mut store: GlobalStore,
     config: &ParConfig,
 ) -> Result<ParOutcome, ParError> {
+    let locks = lock_set(programs, |e| {
+        store.ensure(e);
+        Ok(())
+    })?;
+    let slab = EntitySlab::from_store(&store);
+    let (mut outcome, _) = run_batch(programs, &locks, &slab, config, 0, 0)?;
+    // A closed run reports the whole database, and asserts quiescence
+    // over every word rather than just the lock set.
+    slab.check_quiescent().map_err(ParError::Inconsistent)?;
+    outcome.snapshot = slab.snapshot();
+    Ok(outcome)
+}
+
+/// A batch's lock set: the sorted, deduplicated union of every program's
+/// locked entities. `admit` vets each entity in program order; its first
+/// error aborts the scan.
+pub(crate) fn lock_set(
+    programs: &[TransactionProgram],
+    mut admit: impl FnMut(EntityId) -> Result<(), ParError>,
+) -> Result<Vec<EntityId>, ParError> {
+    let mut locks = Vec::new();
     for p in programs {
         for e in p.locked_entities() {
-            store.ensure(e);
+            admit(e)?;
+            locks.push(e);
         }
     }
-    let slab = EntitySlab::from_store(&store);
-    run_batch(programs, &slab, config, 0, 0).map(|(outcome, _)| outcome)
+    locks.sort_unstable();
+    locks.dedup();
+    Ok(locks)
 }
 
 /// Runs one batch of `programs` over a caller-owned slab — the engine
@@ -631,17 +654,23 @@ pub fn run_parallel(
 /// transactions get globally unique ids and a single monotone stamp
 /// clock).
 ///
-/// The caller guarantees every locked entity exists in the slab, and that
-/// the slab is quiescent (no holders, no queue flags) — true after any
-/// successful prior batch. Returns the outcome plus the stamp high-water
-/// mark, the next batch's stamp base.
+/// `locks` is the batch's [`lock_set`]. The caller guarantees every entry
+/// exists in the slab, and that the slab is quiescent (no holders, no
+/// queue flags) — true after any successful prior batch. Workers touch
+/// no other entity, so the run's fixed cost is O(`locks`), not
+/// O(database): quiescence is asserted over `locks` only, and the
+/// outcome's snapshot holds exactly the entities whose value changed,
+/// with their final values. Returns the outcome plus the stamp
+/// high-water mark, the next batch's stamp base.
 pub(crate) fn run_batch(
     programs: &[TransactionProgram],
+    locks: &[EntityId],
     slab: &EntitySlab,
     config: &ParConfig,
     txn_base: u32,
     stamp_base: u64,
 ) -> Result<(ParOutcome, u64), ParError> {
+    let before: Vec<Value> = locks.iter().map(|&e| slab.read(e)).collect();
     let n = programs.len();
     let threads = config.threads.max(1).min(n.max(1));
     let shard_count = config.effective_shards();
@@ -708,10 +737,10 @@ pub(crate) fn run_batch(
     if let Some(e) = core.error.lock().expect("error mutex poisoned").take() {
         return Err(e);
     }
-    // Quiescent-point validation: lock tables coherent, lock words fully
-    // released, waits-for graph drained, everyone committed.
+    // Quiescent-point validation: lock tables coherent, the lock set's
+    // words fully released, waits-for graph drained, everyone committed.
     core.shards.check_invariants().map_err(ParError::Inconsistent)?;
-    core.slab.check_quiescent().map_err(ParError::Inconsistent)?;
+    core.slab.check_quiescent_on(locks).map_err(ParError::Inconsistent)?;
     core.wfg.check_consistent().map_err(ParError::Inconsistent)?;
     if core.wfg.waiting_count() != 0 {
         return Err(ParError::Inconsistent(format!(
@@ -719,7 +748,10 @@ pub(crate) fn run_batch(
             core.wfg.waiting_count()
         )));
     }
-    let snapshot = core.slab.snapshot();
+    let snapshot = Snapshot::from_pairs(locks.iter().zip(before).filter_map(|(&e, was)| {
+        let now = slab.read(e);
+        (now != was).then_some((e, now))
+    }));
     let per_txn: Vec<TxnStats> = core
         .slots
         .iter()

@@ -71,7 +71,12 @@ pub struct ParOutcome {
     /// Committed lock-state accesses sorted by grant stamp — input to the
     /// serializability oracle.
     pub accesses: Vec<CommittedAccess>,
-    /// Final database state, reassembled across shards.
+    /// Database values after the run. From [`run_parallel`](crate::run_parallel)
+    /// this is the full final state. From
+    /// [`Session::execute`](crate::Session::execute) it holds only the
+    /// entities whose value the batch changed, with their final values —
+    /// the batch's net deltas; [`Session::snapshot`](crate::Session::snapshot)
+    /// gives the full state.
     pub snapshot: Snapshot,
     /// Wall-clock execution time (worker start to last join).
     pub elapsed: Duration,

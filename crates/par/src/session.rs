@@ -27,8 +27,16 @@
 //! lock an unknown entity are rejected up front with
 //! [`ParError::UnknownEntity`] (the slab cannot grow while workers share
 //! it), which doubles as the server's schema check.
+//!
+//! A batch's fixed cost scales with its **lock set** (the union of the
+//! entities its programs lock), never with the database: the pre-values
+//! of the lock set are read before the workers start, quiescence is
+//! asserted over the lock set after they join, and the outcome reports
+//! only the entities whose value changed. Whole-database work —
+//! [`Session::snapshot`], the full quiescence sweep — runs only when a
+//! caller asks for it.
 
-use crate::engine::run_batch;
+use crate::engine::{lock_set, run_batch};
 use crate::outcome::{ParConfig, ParError, ParOutcome};
 use crate::word::{EntitySlab, FastPathStats};
 use pr_model::{EntityId, TransactionProgram, TxnId};
@@ -86,15 +94,6 @@ impl Session {
         self.slab.contains(entity)
     }
 
-    /// Checks that every entity `program` locks exists in the session's
-    /// universe; returns the first unknown entity otherwise.
-    pub fn accepts(&self, program: &TransactionProgram) -> Result<(), EntityId> {
-        match program.locked_entities().iter().find(|e| !self.slab.contains(**e)) {
-            None => Ok(()),
-            Some(e) => Err(*e),
-        }
-    }
-
     /// The global id the next admitted transaction will receive.
     pub fn next_txn(&self) -> TxnId {
         TxnId::new(self.admitted + 1)
@@ -108,15 +107,20 @@ impl Session {
     /// should surface the error and tear down (an engine error here is an
     /// invariant violation, not a workload property).
     ///
+    /// The batch costs O(its lock set), not O(database): the outcome's
+    /// `snapshot` holds only the entities whose value the batch changed
+    /// (the batch's net redo deltas), and quiescence is asserted over the
+    /// lock set alone. [`Self::snapshot`] and [`Self::check_quiescent`]
+    /// are the whole-database forms, for callers that need them.
+    ///
     /// `fast` in the returned outcome reports the slab's *cumulative*
     /// fast-path counters, not this batch's alone — the counters live in
     /// the persistent slab.
     pub fn execute(&mut self, programs: &[TransactionProgram]) -> Result<ParOutcome, ParError> {
-        for p in programs {
-            if let Err(entity) = self.accepts(p) {
-                return Err(ParError::UnknownEntity { entity });
-            }
-        }
+        let locks = lock_set(programs, |entity| match self.slab.contains(entity) {
+            true => Ok(()),
+            false => Err(ParError::UnknownEntity { entity }),
+        })?;
         let n = u32::try_from(programs.len())
             .ok()
             .and_then(|n| self.admitted.checked_add(n))
@@ -124,7 +128,7 @@ impl Session {
                 ParError::Inconsistent("session transaction-id space exhausted".into())
             })?;
         let (outcome, stamp) =
-            run_batch(programs, &self.slab, &self.config, self.admitted, self.stamp)?;
+            run_batch(programs, &locks, &self.slab, &self.config, self.admitted, self.stamp)?;
         self.admitted = n;
         self.stamp = stamp;
         self.batches += 1;
@@ -132,7 +136,8 @@ impl Session {
     }
 
     /// Current database state (between batches: the last batch's final
-    /// published values; initial values for untouched entities).
+    /// published values; initial values for untouched entities). Built
+    /// on demand, in O(database).
     pub fn snapshot(&self) -> Snapshot {
         self.slab.snapshot()
     }
@@ -142,15 +147,16 @@ impl Session {
         self.slab.stats()
     }
 
-    /// Re-asserts slab quiescence (every lock word fully zero). True
-    /// between batches on any healthy session; servers call this at
-    /// shutdown as the final drain check.
+    /// Re-asserts slab quiescence over the whole database (every lock
+    /// word fully zero) — the full sweep [`Self::execute`] skips. True
+    /// between batches on any healthy session.
     pub fn check_quiescent(&self) -> Result<(), String> {
         self.slab.check_quiescent()
     }
 
-    /// Consumes the session, asserting quiescence one last time. Returns
-    /// the cumulative fast-path counters.
+    /// Consumes the session, asserting whole-database quiescence one last
+    /// time — servers call this at shutdown as the final drain check.
+    /// Returns the cumulative fast-path counters.
     pub fn finish(self) -> Result<FastPathStats, ParError> {
         self.slab.check_quiescent().map_err(ParError::Inconsistent)?;
         Ok(self.slab.stats())
@@ -160,7 +166,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pr_model::{Expr, Op, Value, VarId};
+    use pr_model::{Expr, LockMode, Op, Value, VarId};
 
     fn e(i: u32) -> EntityId {
         EntityId::new(i)
@@ -191,9 +197,9 @@ mod tests {
     fn values_persist_across_batches() {
         let mut s = session(2);
         s.execute(&[increment(e(0), 5), increment(e(1), 7)]).unwrap();
-        let out = s.execute(&[increment(e(0), 5)]).unwrap();
-        assert_eq!(out.snapshot.get(e(0)), Some(Value::new(110)));
-        assert_eq!(out.snapshot.get(e(1)), Some(Value::new(107)));
+        s.execute(&[increment(e(0), 5)]).unwrap();
+        assert_eq!(s.snapshot().get(e(0)), Some(Value::new(110)));
+        assert_eq!(s.snapshot().get(e(1)), Some(Value::new(107)));
         assert_eq!(s.admitted(), 3);
         assert_eq!(s.batches(), 2);
         s.finish().unwrap();
@@ -232,6 +238,38 @@ mod tests {
         let out = s.execute(&[increment(e(1), 3)]).unwrap();
         assert_eq!(out.snapshot.get(e(1)), Some(Value::new(103)));
         s.finish().unwrap();
+    }
+
+    #[test]
+    fn batch_outcomes_report_only_changed_entities() {
+        let mut s = session(4);
+        let out = s.execute(&[increment(e(0), 5), increment(e(2), 0)]).unwrap();
+        // e2 was locked and rewritten with its old value: no net change.
+        let deltas: Vec<_> = out.snapshot.iter().collect();
+        assert_eq!(deltas, vec![(e(0), Value::new(105))]);
+        s.finish().unwrap();
+    }
+
+    #[test]
+    fn one_txn_batch_on_a_huge_session_yields_one_delta() {
+        let mut s = session(1 << 20);
+        let out = s.execute(&[increment(e(777_777), 1)]).unwrap();
+        assert!(out.snapshot.len() <= 1, "{} delta entries", out.snapshot.len());
+        assert_eq!(out.snapshot.get(e(777_777)), Some(Value::new(101)));
+    }
+
+    #[test]
+    fn a_dirty_word_outside_the_lock_set_is_caught_at_finish() {
+        let mut s = session(4);
+        let (state, lock) = (pr_model::StateIndex::new(0), pr_model::LockIndex::new(0));
+        let fast = s.slab.try_fast_lock(e(3), TxnId::new(99), LockMode::Exclusive, state, lock);
+        assert_eq!(fast, crate::word::FastPath::Done);
+        // The batch never locks e3, so its lock-set check passes…
+        s.execute(&[increment(e(0), 1)]).unwrap();
+        // …and the whole-database sweeps still see the leftover word.
+        assert!(s.check_quiescent().is_err());
+        let err = s.finish().unwrap_err();
+        assert!(matches!(err, ParError::Inconsistent(_)), "{err}");
     }
 
     #[test]

@@ -476,7 +476,13 @@ impl EntitySlab {
     /// no spin bit, and (because every release/cancel site deflates idle
     /// entities) no leftover queue flag.
     pub fn check_quiescent(&self) -> Result<(), String> {
-        for &id in &self.ids {
+        self.check_quiescent_on(&self.ids)
+    }
+
+    /// [`Self::check_quiescent`] restricted to `ids` — a batch's lock set,
+    /// the only words its workers can have touched.
+    pub fn check_quiescent_on(&self, ids: &[EntityId]) -> Result<(), String> {
+        for &id in ids {
             let w = self.entry(id).word.load(Ordering::Acquire);
             if w != 0 {
                 return Err(format!("entity {:?} lock word nonzero at quiescence: {w:#x}", id));
@@ -607,6 +613,27 @@ mod tests {
         s.snapshot().iter().for_each(|(id, v)| {
             assert_eq!(v, s.read(id));
         });
+    }
+
+    /// The lock-set check sees exactly the words it is given: a word left
+    /// set inside the lock set fails it, and one outside passes it but is
+    /// still caught by the full sweep.
+    #[test]
+    fn lock_set_quiescence_covers_only_its_entities() {
+        let s = slab(4);
+        let (st, lk) = meta(0);
+        let dirty = EntityId::new(2);
+        assert_eq!(
+            s.try_fast_lock(dirty, TxnId::new(1), LockMode::Exclusive, st, lk),
+            FastPath::Done
+        );
+        let err = s.check_quiescent_on(&[EntityId::new(0), dirty]).unwrap_err();
+        assert!(err.contains("nonzero at quiescence"), "{err}");
+        s.check_quiescent_on(&[EntityId::new(0), EntityId::new(3)]).unwrap();
+        s.check_quiescent_on(&[]).unwrap();
+        assert!(s.check_quiescent().is_err(), "the full sweep must catch a word outside");
+        assert_eq!(s.try_fast_release(dirty, TxnId::new(1)), FastPath::Done);
+        s.check_quiescent().unwrap();
     }
 
     /// CAS hammer: N threads ping-pong exclusive fast grants over one

@@ -65,18 +65,19 @@ impl Client {
         }
     }
 
-    /// `HISTORY` round trip: reassembles all chunks into the full access
-    /// history and the final snapshot. Same no-in-flight caveat as
+    /// `HISTORY` round trip: concatenates all chunks into the full access
+    /// history and the full snapshot. Same no-in-flight caveat as
     /// [`Client::stats`].
     pub fn history(&mut self) -> std::io::Result<HistoryDump> {
         self.send(&Request::History)?;
-        let mut all = Vec::new();
+        let (mut all, mut values) = (Vec::new(), Vec::new());
         loop {
             match self.recv()? {
                 Ok(Reply::HistoryChunk { last, accesses, snapshot }) => {
                     all.extend(accesses);
+                    values.extend(snapshot);
                     if last {
-                        return Ok((all, snapshot));
+                        return Ok((all, values));
                     }
                 }
                 other => return Err(unexpected("HistoryChunk", &other)),

@@ -124,9 +124,11 @@ pub fn run_to_crash(cfg: &SimConfig, dir: &MemDir) -> Result<SimTrace, String> {
             &outcome.snapshot,
             &outcome.accesses,
         ) {
+            // The outcome holds only the batch's deltas; the mark needs
+            // the whole store.
             Ok(_) => trace
                 .acked
-                .push(BatchMark { snapshot: outcome.snapshot.clone(), txns: chunk.len() as u32 }),
+                .push(BatchMark { snapshot: session.snapshot(), txns: chunk.len() as u32 }),
             Err(WalError::Crashed) => {
                 trace.crashed = true;
                 return Ok(trace);

@@ -2,14 +2,17 @@
 //!
 //! This module is the bridge between the engine's batch outcomes and the
 //! storage crate's write-ahead log. [`Journal`] turns each executed batch
-//! into one redo record (net entity deltas against the previous batch's
-//! snapshot, the committed access history, and the client request ids as
-//! idempotence tokens) plus a commit marker, appended **before** the
-//! batch's COMMITTED replies publish. [`recover`] replays the durable
-//! prefix of a log directory into a fresh store and hands back everything
-//! a server needs to resume exactly where the dead process stopped: txn
-//! and stamp high-water marks, the recovered access history for the
-//! HISTORY surface, and the sealed log ready for further appends.
+//! into one redo record (the batch's net entity deltas, the committed
+//! access history, and the client request ids as idempotence tokens) plus
+//! a commit marker, appended **before** the batch's COMMITTED replies
+//! publish. The deltas are the outcome's own:
+//! [`pr_par::Session::execute`] reports exactly the entities whose value
+//! the batch changed, so logging a batch costs O(batch), never
+//! O(database). [`recover`] replays the durable prefix of a log
+//! directory into a fresh store and hands back everything a server needs
+//! to resume exactly where the dead process stopped: txn and stamp
+//! high-water marks, the recovered access history for the HISTORY
+//! surface, and the sealed log ready for further appends.
 //!
 //! The invariant the test battery proves: under the `per-batch` flush
 //! policy, **acknowledged ⇒ replayed** — any transaction whose COMMITTED
@@ -111,50 +114,51 @@ pub fn recover(dir: &dyn LogDir, entities: u32, init: i64) -> Result<Recovery, W
     })
 }
 
-/// The group-commit journal: owns the WAL writer plus the previous
-/// batch's snapshot (for delta extraction) and the batch-id sequence.
+/// The group-commit journal: owns the WAL writer and the batch-id
+/// sequence.
 pub struct Journal {
     wal: Wal,
     next_batch_id: u64,
-    last: Snapshot,
 }
 
 impl Journal {
-    /// Opens the journal for appending. `baseline` is the store state the
-    /// *next* batch executes against (the recovered snapshot, or the
-    /// initial store on a fresh start); `last_batch_id` continues the
+    /// Opens the journal for appending. `last_batch_id` continues the
     /// recovered sequence (0 on a fresh start).
+    ///
+    /// `_baseline` is unused. It remains in the signature only so that
+    /// existing callers keep compiling: each batch's deltas come from its
+    /// outcome, so the journal needs no copy of the store.
     pub fn open(
         dir: Arc<dyn LogDir>,
         config: &DurabilityConfig,
-        baseline: Snapshot,
+        _baseline: Snapshot,
         last_batch_id: u64,
     ) -> Result<Journal, WalError> {
         let wal = Wal::open(dir, config.flush, config.segment_max)?;
-        Ok(Journal { wal, next_batch_id: last_batch_id + 1, last: baseline })
+        Ok(Journal { wal, next_batch_id: last_batch_id + 1 })
     }
 
     /// Logs one executed batch: redo record + commit marker, flush policy
-    /// applied. Returns `true` when the marker was fsynced (the acks that
-    /// follow are then crash-proof). On error the batch MUST NOT be
+    /// applied. `deltas` is the batch outcome's snapshot — the entities
+    /// whose value the batch changed, with their final values — and is
+    /// logged as is. Returns `true` when the marker was fsynced (the acks
+    /// that follow are then crash-proof). On error the batch MUST NOT be
     /// acknowledged — the caller treats it like an engine failure.
     pub fn log_batch(
         &mut self,
         txn_base: u32,
         request_ids: &[u64],
         stamp_hwm: u64,
-        snapshot: &Snapshot,
+        deltas: &Snapshot,
         accesses: &[CommittedAccess],
     ) -> Result<bool, WalError> {
-        let deltas: Vec<(EntityId, Value)> =
-            snapshot.iter().filter(|&(id, v)| self.last.get(id) != Some(v)).collect();
         let record = BatchRecord {
             batch_id: self.next_batch_id,
             txn_base,
             txn_count: request_ids.len() as u32,
             stamp_hwm,
             request_ids: request_ids.to_vec(),
-            deltas,
+            deltas: deltas.iter().collect(),
             accesses: accesses
                 .iter()
                 .map(|a| WalAccess {
@@ -168,7 +172,6 @@ impl Journal {
         self.wal.append_batch(&record)?;
         let synced = self.wal.commit_batch(self.next_batch_id)?;
         self.next_batch_id += 1;
-        self.last = snapshot.clone();
         Ok(synced)
     }
 

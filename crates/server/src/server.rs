@@ -32,14 +32,14 @@ use crate::batch::{Batcher, FlushReason};
 use crate::durable::{recover, DurabilityConfig, Journal, Recovery};
 use crate::wire::{
     decode_request, encode_reply, frame, AbortReason, FrameAssembler, Reply, Request,
-    HISTORY_CHUNK_ACCESSES,
+    HISTORY_CHUNK_ACCESSES, HISTORY_CHUNK_PAIRS,
 };
 use pr_core::{ServerMetrics, SystemConfig};
 use pr_model::Value;
 use pr_model::{TransactionProgram, TxnId};
 use pr_par::{CommittedAccess, FastPathStats, ParConfig, ParError, Session};
 use pr_storage::wal::{FsDir, LogDir};
-use pr_storage::GlobalStore;
+use pr_storage::{GlobalStore, Snapshot};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -404,7 +404,7 @@ fn executor_loop(
     // A recovered server resumes the dead process's txn-id and stamp
     // clocks, so post-crash commits extend the recovered history into one
     // valid oracle input.
-    let (store, mut history, mut commits, last_batch_id, session) = match recovered {
+    let (mut session, mut history, mut commits, last_batch_id) = match recovered {
         Some(rec) => {
             let session =
                 Session::resume(&rec.store, par_config, rec.summary.txn_hwm, rec.summary.stamp_hwm);
@@ -414,18 +414,19 @@ fn executor_loop(
                 m.txns_recovered = rec.summary.txns;
                 m.commits = rec.summary.txns;
             }
-            (rec.store, rec.accesses, rec.summary.txns, rec.summary.last_batch_id, session)
+            (session, rec.accesses, rec.summary.txns, rec.summary.last_batch_id)
         }
         None => {
             let store = GlobalStore::with_entities(config.entities, Value::new(config.init));
-            let session = Session::new(&store, par_config);
-            (store, Vec::new(), 0u64, 0u64, session)
+            (Session::new(&store, par_config), Vec::new(), 0u64, 0u64)
         }
     };
-    let mut session = session;
+    // The session's slab is the database from here on; the store it was
+    // built from has been dropped, and the journal logs each outcome's
+    // own deltas, so it needs no baseline.
     let mut journal = match log_dir {
         Some(dir) => Some(
-            Journal::open(dir, &config.durability, store.snapshot(), last_batch_id)
+            Journal::open(dir, &config.durability, Snapshot::default(), last_batch_id)
                 .map_err(|e| wal_fatal("open", e))?,
         ),
         None => None,
@@ -543,27 +544,29 @@ fn executor_loop(
     Ok(ServerSummary { commits, batches, fast })
 }
 
-/// Streams the full history in bounded chunks; the last chunk carries
-/// the snapshot.
+/// Streams the full history and a freshly built snapshot in bounded
+/// chunks: frame `i` carries the `i`-th slice of each list (either slice
+/// may be empty) and the final frame is flagged `last`, so no frame
+/// outgrows [`MAX_PAYLOAD`](crate::wire::MAX_PAYLOAD) however large the
+/// database is.
 fn send_history(
     conn: &Arc<ConnWriter>,
     shared: &Arc<Shared>,
     history: &[CommittedAccess],
     session: &Session,
 ) {
-    let mut chunks = history.chunks(HISTORY_CHUNK_ACCESSES).peekable();
-    if chunks.peek().is_none() {
-        let snapshot: Vec<_> = session.snapshot().iter().map(|(e, v)| (e, v.raw())).collect();
-        conn.send(shared, &Reply::HistoryChunk { last: true, accesses: vec![], snapshot });
-        return;
-    }
-    while let Some(chunk) = chunks.next() {
-        let last = chunks.peek().is_none();
-        let snapshot = if last {
-            session.snapshot().iter().map(|(e, v)| (e, v.raw())).collect()
-        } else {
-            Vec::new()
-        };
-        conn.send(shared, &Reply::HistoryChunk { last, accesses: chunk.to_vec(), snapshot });
+    let snapshot: Vec<_> = session.snapshot().iter().map(|(e, v)| (e, v.raw())).collect();
+    let mut accesses = history.chunks(HISTORY_CHUNK_ACCESSES);
+    let mut pairs = snapshot.chunks(HISTORY_CHUNK_PAIRS);
+    let frames = accesses.len().max(pairs.len()).max(1);
+    for i in 1..=frames {
+        conn.send(
+            shared,
+            &Reply::HistoryChunk {
+                last: i == frames,
+                accesses: accesses.next().unwrap_or_default().to_vec(),
+                snapshot: pairs.next().unwrap_or_default().to_vec(),
+            },
+        );
     }
 }

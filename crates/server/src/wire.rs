@@ -18,7 +18,7 @@
 //! ABORTED      0x82  request_id:u64  reason:u8    (1 shutdown, 2 invalid, 3 engine)
 //! STATS_REPLY  0x83  len:u32  json-bytes
 //! HISTORY_CHUNK 0x84 last:u8  n:u32  (txn:u32 entity:u32 mode:u8 stamp:u64)×n
-//!                    [if last: m:u32 (entity:u32 value:i64)×m]
+//!                    m:u32 (entity:u32 value:i64)×m
 //! ERROR        0x86  code:u8  len:u16  utf8-message
 //! SHUTDOWN_ACK 0x87  commits:u64
 //! ```
@@ -47,8 +47,11 @@ pub const MAX_PAYLOAD: usize = 1 << 20;
 pub const MAX_OPS: usize = 4096;
 /// Deepest expression nesting the decoder will follow.
 pub const MAX_EXPR_DEPTH: usize = 32;
-/// Accesses per `HISTORY_CHUNK` frame (keeps chunks ≈ 1/2 `MAX_PAYLOAD`).
+/// Accesses per `HISTORY_CHUNK` frame (≈ 0.39 `MAX_PAYLOAD`).
 pub const HISTORY_CHUNK_ACCESSES: usize = 24_000;
+/// Snapshot pairs per `HISTORY_CHUNK` frame (≈ 0.46 `MAX_PAYLOAD`), so a
+/// chunk full of both still fits one frame.
+pub const HISTORY_CHUNK_PAIRS: usize = 40_000;
 
 /// Why a frame or payload could not be decoded.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -168,14 +171,15 @@ pub enum Reply {
         /// `pr-server-metrics-v1` JSON object.
         json: String,
     },
-    /// One slice of the committed access history; the final chunk
-    /// (`last`) carries the database snapshot.
+    /// One slice of the committed access history and of the database
+    /// snapshot; concatenating every chunk's lists up to the one flagged
+    /// `last` yields both in full.
     HistoryChunk {
         /// Whether this is the final chunk.
         last: bool,
         /// Accesses in this chunk (stamp order across chunks).
         accesses: Vec<CommittedAccess>,
-        /// Final `(entity, value)` pairs — only on the last chunk.
+        /// `(entity, value)` pairs in this chunk (id order across chunks).
         snapshot: Vec<(EntityId, i64)>,
     },
     /// Protocol error; the server closes the connection after sending.
@@ -442,9 +446,9 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
                 });
                 put_u64(&mut out, a.stamp);
             }
-            // The snapshot section is always present (empty on non-final
-            // chunks): a conditional section would make the codec lossy
-            // for values it can represent.
+            // The snapshot section is always present (possibly empty): a
+            // conditional section would make the codec lossy for values it
+            // can represent.
             put_u32(&mut out, snapshot.len() as u32);
             for (entity, value) in snapshot {
                 put_u32(&mut out, entity.raw());
@@ -658,6 +662,24 @@ mod tests {
         for reply in replies {
             assert_eq!(decode_reply(&encode_reply(&reply)), Ok(reply));
         }
+    }
+
+    #[test]
+    fn a_full_history_chunk_fits_one_frame() {
+        let access = CommittedAccess {
+            txn: TxnId::new(u32::MAX),
+            entity: EntityId::new(u32::MAX),
+            mode: LockMode::Exclusive,
+            stamp: u64::MAX,
+        };
+        let reply = Reply::HistoryChunk {
+            last: true,
+            accesses: vec![access; HISTORY_CHUNK_ACCESSES],
+            snapshot: vec![(EntityId::new(u32::MAX), i64::MIN); HISTORY_CHUNK_PAIRS],
+        };
+        let payload = encode_reply(&reply);
+        assert!(payload.len() <= MAX_PAYLOAD, "{} bytes", payload.len());
+        assert_eq!(decode_reply(&payload), Ok(reply));
     }
 
     #[test]

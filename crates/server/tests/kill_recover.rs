@@ -16,10 +16,13 @@
 //!
 //! A second test covers the graceful path: under `--wal-flush off`
 //! (no fsync at all during the run) a drain-then-restart still loses
-//! nothing, because the drain protocol syncs before `SHUTDOWN_ACK`.
+//! nothing, because the drain protocol syncs before `SHUTDOWN_ACK`. A
+//! third runs drain-then-recover on a 1<<20-entity database, whose
+//! snapshot is an order of magnitude larger than one frame.
 
+use pr_model::{EntityId, Expr, Op, Value, VarId};
 use pr_server::load::{client_programs, oracle_check};
-use pr_server::{run_load, Client, DurabilityConfig, LoadConfig, Server, ServerConfig};
+use pr_server::{run_load, Client, DurabilityConfig, LoadConfig, Reply, Server, ServerConfig};
 use pr_storage::wal::{replay, FlushPolicy, FsDir};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader};
@@ -277,6 +280,83 @@ fn graceful_drain_is_durable_even_with_fsync_off() {
         .expect("recovered history must still serialize");
     assert_eq!(report.txns, result.commits as usize);
 
+    c2.shutdown().expect("drain again");
+    recovered.wait().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&wal);
+}
+
+/// `HISTORY` on a database far beyond one frame: at 1<<20 entities the
+/// snapshot alone is ~12 MiB, so it must be paged across chunks. The
+/// paged dump must hold every entity with the committed values, and
+/// a drain-then-recover must reproduce it exactly.
+#[test]
+fn million_entity_history_pages_and_survives_recovery() {
+    const ENTITIES: u32 = 1 << 20;
+    let wal = temp_wal_dir("million");
+    let durability = |recover| DurabilityConfig {
+        dir: Some(wal.clone()),
+        recover,
+        ..DurabilityConfig::default()
+    };
+    let config = ServerConfig {
+        entities: ENTITIES,
+        threads: 2,
+        batch_deadline: Duration::from_micros(500),
+        durability: durability(false),
+        ..ServerConfig::default()
+    };
+    // A server that cannot answer HISTORY must fail the test, not hang it.
+    let connect = |server: &Server| {
+        let c = Client::connect(&server.local_addr().to_string()).expect("connect");
+        c.set_read_timeout(Some(Duration::from_secs(120))).expect("timeout");
+        c
+    };
+    let server = Server::start(config.clone()).expect("start");
+    let mut c = connect(&server);
+    let touched = [0, 1, ENTITIES / 2, ENTITIES - 1];
+    for (delta, &entity) in touched.iter().enumerate() {
+        let e = EntityId::new(entity);
+        c.submit(vec![
+            Op::LockExclusive(e),
+            Op::Read { entity: e, into: VarId::new(0) },
+            Op::Write {
+                entity: e,
+                expr: Expr::add(
+                    Expr::Var(VarId::new(0)),
+                    Expr::Const(Value::new(delta as i64 + 1)),
+                ),
+            },
+            Op::Commit,
+        ])
+        .expect("submit");
+    }
+    for _ in touched {
+        match c.recv().expect("recv").expect("decode") {
+            Reply::Committed { .. } => {}
+            other => panic!("expected Committed, got {other:?}"),
+        }
+    }
+
+    let before = c.history().expect("history");
+    assert_eq!(before.0.len(), touched.len(), "one access per single-entity txn");
+    assert_eq!(before.1.len(), ENTITIES as usize, "the paged snapshot must hold every entity");
+    for (i, &(e, v)) in before.1.iter().enumerate() {
+        assert_eq!(e.raw(), i as u32, "snapshot pages arrive in id order");
+        let want = match touched.iter().position(|&t| t == e.raw()) {
+            Some(delta) => 100 + delta as i64 + 1,
+            None => 100,
+        };
+        assert_eq!(v, want, "entity {i}");
+    }
+    assert_eq!(c.shutdown().expect("drain"), touched.len() as u64);
+    server.wait().expect("clean shutdown");
+
+    let recovered =
+        Server::start(ServerConfig { durability: durability(true), ..config }).expect("recover");
+    assert_eq!(recovered.recovery().expect("recovery summary").txns, touched.len() as u64);
+    let mut c2 = connect(&recovered);
+    let after = c2.history().expect("history after recovery");
+    assert!(after == before, "HISTORY after recovery differs from before the drain");
     c2.shutdown().expect("drain again");
     recovered.wait().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&wal);

@@ -92,7 +92,6 @@ mod tests {
     use pr_graph::CycleMember;
     use pr_model::{LockMode, ProgramBuilder, Value};
     use std::collections::BTreeMap;
-    use std::sync::Arc;
 
     fn t(i: u32) -> TxnId {
         TxnId::new(i)
@@ -113,7 +112,7 @@ mod tests {
         let mk = |id: u32, entity: u32, req_state: u32, wait_state: u32| {
             let mut b = ProgramBuilder::new().lock_exclusive(e(99 + id)).pad(200);
             b = b.lock_exclusive(e(entity)).pad(200);
-            let p = Arc::new(b.build_unchecked());
+            let p = b.build_unchecked();
             let mut rt = TxnRuntime::new(t(id), p, u64::from(id), StrategyKind::Mcs);
             // Advance to req_state via a warm-up lock + padding.
             rt.complete_lock(e(99 + id), LockMode::Exclusive, Value::ZERO);

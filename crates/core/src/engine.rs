@@ -13,7 +13,6 @@ use pr_lock::{EntityOrder, GrantPolicy, HeldLock, LockTable, RequestOutcome};
 use pr_model::{EntityId, LockIndex, LockMode, Op, TransactionProgram, TxnId};
 use pr_storage::GlobalStore;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Result of stepping one transaction.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -212,7 +211,7 @@ impl System {
         self.next_txn += 1;
         let entry = self.entry_counter;
         self.entry_counter += 1;
-        self.txns.insert(id, TxnRuntime::new(id, Arc::new(program), entry, self.config.strategy));
+        self.txns.insert(id, TxnRuntime::new(id, program, entry, self.config.strategy));
         if let Some(order) = &self.certified_order {
             if order.covers_program(&self.txns[&id].program) {
                 self.covered.insert(id);
@@ -264,12 +263,15 @@ impl System {
         if rt.phase != Phase::Running {
             return Err(EngineError::NotRunnable(id));
         }
-        let op = rt.program.op(rt.pc).cloned().ok_or(EngineError::NotRunnable(id))?;
+        // An O(1) program handle, so the op is borrowed, not cloned,
+        // while the handlers below take `&mut self`.
+        let program = rt.program.clone();
+        let op = program.op(rt.pc).ok_or(EngineError::NotRunnable(id))?;
         let result = match op {
-            Op::LockShared(entity) => self.do_lock(id, entity, LockMode::Shared),
-            Op::LockExclusive(entity) => self.do_lock(id, entity, LockMode::Exclusive),
-            Op::Unlock(entity) => self.do_unlock(id, entity),
-            Op::Read { entity, into } => {
+            &Op::LockShared(entity) => self.do_lock(id, entity, LockMode::Shared),
+            &Op::LockExclusive(entity) => self.do_lock(id, entity, LockMode::Exclusive),
+            &Op::Unlock(entity) => self.do_unlock(id, entity),
+            &Op::Read { entity, into } => {
                 let global = self.store.read(entity)?;
                 let rt = self.txns.get_mut(&id).expect("checked above");
                 rt.exec_read(entity, into, global)?;
@@ -278,21 +280,21 @@ impl System {
             }
             Op::Write { entity, expr } => {
                 let rt = self.txns.get_mut(&id).expect("checked above");
-                rt.exec_write(entity, &expr)?;
+                rt.exec_write(*entity, expr)?;
                 self.metrics.ops_executed += 1;
                 self.update_peak_copies_for(id);
                 Ok(StepOutcome::Progressed)
             }
             Op::Assign { var, expr } => {
                 let rt = self.txns.get_mut(&id).expect("checked above");
-                rt.exec_assign(var, &expr)?;
+                rt.exec_assign(*var, expr)?;
                 self.metrics.ops_executed += 1;
                 self.update_peak_copies_for(id);
                 Ok(StepOutcome::Progressed)
             }
             Op::Compute(expr) => {
                 let rt = self.txns.get_mut(&id).expect("checked above");
-                rt.exec_compute(&expr);
+                rt.exec_compute(expr);
                 self.metrics.ops_executed += 1;
                 Ok(StepOutcome::Progressed)
             }

@@ -13,7 +13,6 @@ use pr_model::TxnId;
 use pr_model::{EntityId, Expr, LockIndex, LockMode, StateIndex, TransactionProgram, Value, VarId};
 use pr_storage::{McsWorkspace, SingleCopyWorkspace, StorageError};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Read-only access to transaction runtimes by id.
 ///
@@ -200,7 +199,7 @@ pub struct TxnRuntime {
     /// Transaction id.
     pub id: TxnId,
     /// The program being executed.
-    pub program: Arc<TransactionProgram>,
+    pub program: TransactionProgram,
     /// Next operation to execute.
     pub pc: usize,
     /// Operations executed so far (the §2 state index).
@@ -240,7 +239,7 @@ impl TxnRuntime {
     /// Creates the runtime for `program`, admitted at `entry_order`.
     pub fn new(
         id: TxnId,
-        program: Arc<TransactionProgram>,
+        program: TransactionProgram,
         entry_order: u64,
         strategy: StrategyKind,
     ) -> Self {
@@ -677,7 +676,7 @@ mod tests {
             .write_const(e(1), 2)
             .lock_exclusive(e(2))
             .build_unchecked();
-        TxnRuntime::new(TxnId::new(1), Arc::new(p), 0, strategy)
+        TxnRuntime::new(TxnId::new(1), p, 0, strategy)
     }
 
     #[test]
@@ -814,7 +813,7 @@ mod tests {
             .lock_exclusive(e(1))
             .write(e(1), Expr::add(Expr::var(v(0)), Expr::lit(1)))
             .build_unchecked();
-        TxnRuntime::new(TxnId::new(1), Arc::new(p), 0, StrategyKind::Repair)
+        TxnRuntime::new(TxnId::new(1), p, 0, StrategyKind::Repair)
     }
 
     #[test]

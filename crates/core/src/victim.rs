@@ -120,7 +120,6 @@ mod tests {
     use pr_graph::CycleMember;
     use pr_model::{EntityId, LockIndex, LockMode, ProgramBuilder, Value};
     use std::collections::BTreeMap;
-    use std::sync::Arc;
 
     fn t(i: u32) -> TxnId {
         TxnId::new(i)
@@ -136,7 +135,7 @@ mod tests {
         for &ent in entities {
             b = b.lock_exclusive(e(ent)).pad(pad);
         }
-        let p = Arc::new(b.build_unchecked());
+        let p = b.build_unchecked();
         let mut rt = TxnRuntime::new(t(id), p, entry, StrategyKind::Mcs);
         for &ent in entities {
             rt.complete_lock(e(ent), LockMode::Exclusive, Value::ZERO);

@@ -19,7 +19,6 @@ use pr_lock::{HeldLock, LockTable, RequestOutcome};
 use pr_model::{EntityId, LockIndex, LockMode, Op, TransactionProgram, TxnId};
 use pr_storage::GlobalStore;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// How cross-site deadlocks are kept at bay (§3.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -183,7 +182,7 @@ impl DistributedSystem {
         self.next_txn += 1;
         let entry = self.entry_counter;
         self.entry_counter += 1;
-        self.txns.insert(id, TxnRuntime::new(id, Arc::new(program), entry, self.config.strategy));
+        self.txns.insert(id, TxnRuntime::new(id, program, entry, self.config.strategy));
         self.home.insert(id, home);
         Ok(id)
     }
@@ -307,12 +306,15 @@ impl DistributedSystem {
             }
             return Err(EngineError::NotRunnable(id));
         }
-        let op = rt.program.op(rt.pc).cloned().ok_or(EngineError::NotRunnable(id))?;
+        // An O(1) program handle, so the op is borrowed, not cloned,
+        // while the handlers below take `&mut self`.
+        let program = rt.program.clone();
+        let op = program.op(rt.pc).ok_or(EngineError::NotRunnable(id))?;
         match op {
-            Op::LockShared(e) => self.do_lock(id, e, LockMode::Shared),
-            Op::LockExclusive(e) => self.do_lock(id, e, LockMode::Exclusive),
-            Op::Unlock(e) => self.do_unlock(id, e),
-            Op::Read { entity, into } => {
+            &Op::LockShared(e) => self.do_lock(id, e, LockMode::Shared),
+            &Op::LockExclusive(e) => self.do_lock(id, e, LockMode::Exclusive),
+            &Op::Unlock(e) => self.do_unlock(id, e),
+            &Op::Read { entity, into } => {
                 if self.net.active() && !self.remote_rpc(id, entity) {
                     return Ok(()); // fetch timed out; retry when rescheduled
                 }
@@ -327,14 +329,14 @@ impl DistributedSystem {
             Op::Write { entity, expr } => {
                 let rt = self.txns.get_mut(&id).expect("checked");
                 let value = expr.eval(rt.workspace.vars());
-                rt.write_entity(entity, value)?;
+                rt.write_entity(*entity, value)?;
                 self.metrics.ops_executed += 1;
                 Ok(())
             }
             Op::Assign { var, expr } => {
                 let rt = self.txns.get_mut(&id).expect("checked");
                 let value = expr.eval(rt.workspace.vars());
-                rt.assign_var(var, value)?;
+                rt.assign_var(*var, value)?;
                 self.metrics.ops_executed += 1;
                 Ok(())
             }

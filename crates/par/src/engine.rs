@@ -65,7 +65,7 @@ use pr_model::{EntityId, LockIndex, LockMode, Op, StateIndex, TransactionProgram
 use pr_storage::{GlobalStore, Snapshot};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Park timeout: the cadence at which blocked workers re-poll the shard
@@ -169,6 +169,9 @@ impl Core<'_> {
         let slot = &self.slots[idx];
         let id = TxnId::new(self.txn_base + idx as u32 + 1);
         let mut g = slot.lock();
+        // One O(1) handle for the whole run: each step borrows its op
+        // from it instead of cloning the op out of the guarded runtime.
+        let program = g.rt.program.clone();
         loop {
             if self.aborted() {
                 return Ok(());
@@ -184,21 +187,21 @@ impl Core<'_> {
                 }
             }
             let pc = g.rt.pc;
-            let Some(op) = g.rt.program.op(pc).cloned() else {
+            let Some(op) = program.op(pc) else {
                 return Err(ParError::MissingOp { txn: id, pc });
             };
             local.steps += 1;
             match op {
-                Op::LockShared(entity) => {
+                &Op::LockShared(entity) => {
                     g = self.op_lock(slot, g, id, entity, LockMode::Shared, local)?;
                 }
-                Op::LockExclusive(entity) => {
+                &Op::LockExclusive(entity) => {
                     g = self.op_lock(slot, g, id, entity, LockMode::Exclusive, local)?;
                 }
-                Op::Unlock(entity) => {
+                &Op::Unlock(entity) => {
                     g = self.op_unlock(g, id, entity, local)?;
                 }
-                Op::Read { entity, into } => {
+                &Op::Read { entity, into } => {
                     // 2PL: the program holds a lock on `entity` here, so
                     // the slab's published value cannot change under us.
                     let global = self.slab.read(entity);
@@ -206,16 +209,16 @@ impl Core<'_> {
                     local.ops_executed += 1;
                 }
                 Op::Write { entity, expr } => {
-                    g.rt.exec_write(entity, &expr)?;
+                    g.rt.exec_write(*entity, expr)?;
                     local.ops_executed += 1;
                     local.peak_copies = local.peak_copies.max(g.rt.copies());
                 }
                 Op::Assign { var, expr } => {
-                    g.rt.exec_assign(var, &expr)?;
+                    g.rt.exec_assign(*var, expr)?;
                     local.ops_executed += 1;
                 }
                 Op::Compute(expr) => {
-                    g.rt.exec_compute(&expr);
+                    g.rt.exec_compute(expr);
                     local.ops_executed += 1;
                 }
                 Op::Commit => {
@@ -680,7 +683,7 @@ pub(crate) fn run_batch(
         .map(|(i, p)| {
             TxnSlot::new(TxnRuntime::new(
                 TxnId::new(txn_base + i as u32 + 1),
-                Arc::new(p.clone()),
+                p.clone(),
                 u64::from(txn_base) + i as u64,
                 config.system.strategy,
             ))

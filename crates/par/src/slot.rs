@@ -144,12 +144,11 @@ mod tests {
     use super::*;
     use pr_core::StrategyKind;
     use pr_model::{Op, TransactionProgram, TxnId};
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn slot() -> TxnSlot {
         let program = TransactionProgram::try_from(vec![Op::Commit]).unwrap();
-        let rt = TxnRuntime::new(TxnId::new(1), Arc::new(program), 0, StrategyKind::Total);
+        let rt = TxnRuntime::new(TxnId::new(1), program, 0, StrategyKind::Total);
         TxnSlot::new(rt)
     }
 

@@ -14,7 +14,8 @@
 //!   [`Session::execute`] (one quiescent engine run per batch), and
 //!   writes `COMMITTED` replies for the whole batch after the run — that
 //!   is the group commit: no client hears success before its whole batch
-//!   is durable in the slab.
+//!   is durable in the slab. The batch's replies are grouped by
+//!   connection, so each connection gets one write per batch.
 //!
 //! Connection writers are a `Mutex<TcpStream>` per connection: frames
 //! are written whole under the lock, so replies from the executor and the
@@ -106,16 +107,21 @@ pub struct ConnWriter {
 
 impl ConnWriter {
     fn send(&self, shared: &Shared, reply: &Reply) {
+        self.write_frames(shared, &frame(&encode_reply(reply)), 1);
+    }
+
+    /// Writes `bytes`, which hold `frames` whole frames, in one
+    /// `write_all` under the mutex.
+    fn write_frames(&self, shared: &Shared, bytes: &[u8], frames: u64) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
-        let bytes = frame(&encode_reply(reply));
         let mut stream = self.stream.lock().expect("conn writer poisoned");
-        if stream.write_all(&bytes).is_err() {
+        if stream.write_all(bytes).is_err() {
             self.dead.store(true, Ordering::Relaxed);
             return;
         }
-        shared.frames_out.fetch_add(1, Ordering::Relaxed);
+        shared.frames_out.fetch_add(frames, Ordering::Relaxed);
     }
 }
 
@@ -490,10 +496,7 @@ fn executor_loop(
                     history.extend(outcome.accesses);
                     // Group commit: every reply in the batch goes out
                     // after the whole batch reached quiescence.
-                    for (i, (request_id, conn)) in submitters.iter().enumerate() {
-                        let txn = TxnId::new(base + i as u32 + 1);
-                        conn.send(&shared, &Reply::Committed { request_id: *request_id, txn });
-                    }
+                    send_committed(&shared, &submitters, base);
                 }
                 Err(e) => return Err(fail_batch(e, &shared)),
             }
@@ -542,6 +545,27 @@ fn executor_loop(
         conn.send(&shared, &Reply::ShutdownAck { commits });
     }
     Ok(ServerSummary { commits, batches, fast })
+}
+
+/// Writes a batch's `COMMITTED` replies: submission `i` committed as txn
+/// `base + i + 1`. The frames are grouped by connection, in submission
+/// order, and each connection gets them in one write.
+fn send_committed(shared: &Shared, submitters: &[(u64, Arc<ConnWriter>)], base: u32) {
+    let mut order: Vec<usize> = (0..submitters.len()).collect();
+    // Stable, so each connection's replies keep submission order.
+    order.sort_by_key(|&i| Arc::as_ptr(&submitters[i].1));
+    let mut bytes = Vec::new();
+    for run in order.chunk_by(|&a, &b| Arc::ptr_eq(&submitters[a].1, &submitters[b].1)) {
+        bytes.clear();
+        for &i in run {
+            let reply = Reply::Committed {
+                request_id: submitters[i].0,
+                txn: TxnId::new(base + i as u32 + 1),
+            };
+            bytes.extend_from_slice(&frame(&encode_reply(&reply)));
+        }
+        submitters[run[0]].1.write_frames(shared, &bytes, run.len() as u64);
+    }
 }
 
 /// Streams the full history and a freshly built snapshot in bounded

@@ -458,8 +458,11 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
         Reply::Error { code, message } => {
             out.push(0x86);
             out.push(*code);
-            put_u16(&mut out, message.len().min(u16::MAX as usize) as u16);
-            out.extend_from_slice(&message.as_bytes()[..message.len().min(u16::MAX as usize)]);
+            // Truncate to the u16 length field at a char boundary, so the
+            // peer always receives valid UTF-8.
+            let len = message.floor_char_boundary(u16::MAX as usize);
+            put_u16(&mut out, len as u16);
+            out.extend_from_slice(&message.as_bytes()[..len]);
         }
         Reply::ShutdownAck { commits } => {
             out.push(0x87);
@@ -544,9 +547,14 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// declarations are rejected *before* their payload is buffered, so a
 /// hostile peer cannot make the assembler allocate [`MAX_PAYLOAD`]-dodging
 /// amounts of memory.
+///
+/// Popping a frame only advances a consumed offset; `feed` compacts the
+/// buffer once, so draining a read of many small frames is linear.
 #[derive(Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already returned as frames.
+    start: usize,
 }
 
 impl FrameAssembler {
@@ -557,6 +565,8 @@ impl FrameAssembler {
 
     /// Appends freshly read bytes.
     pub fn feed(&mut self, data: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(data);
     }
 
@@ -564,24 +574,25 @@ impl FrameAssembler {
     /// needed. After an `Err` the stream is unrecoverable — close the
     /// connection.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        if self.buf.len() < 4 {
+        let rest = &self.buf[self.start..];
+        if rest.len() < 4 {
             return Ok(None);
         }
-        let declared = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+        let declared = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
         if declared > MAX_PAYLOAD {
             return Err(WireError::Oversized { declared });
         }
-        if self.buf.len() < 4 + declared {
+        if rest.len() < 4 + declared {
             return Ok(None);
         }
-        let payload = self.buf[4..4 + declared].to_vec();
-        self.buf.drain(..4 + declared);
+        let payload = rest[4..4 + declared].to_vec();
+        self.start += 4 + declared;
         Ok(Some(payload))
     }
 
     /// Bytes currently buffered (partial frame in flight).
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 }
 
@@ -735,6 +746,45 @@ mod tests {
         }
         assert_eq!(got, payloads);
         assert_eq!(asm.pending(), 0);
+    }
+
+    #[test]
+    fn assembler_pops_ten_thousand_frames_from_one_feed_in_order() {
+        let payloads: Vec<Vec<u8>> = (0..10_000u64)
+            .map(|i| encode_reply(&Reply::Committed { request_id: i, txn: TxnId::new(i as u32) }))
+            .collect();
+        let stream: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+        let mut asm = FrameAssembler::new();
+        asm.feed(&stream);
+        let mut got = Vec::new();
+        while let Some(p) = asm.next_frame().unwrap() {
+            got.push(p);
+        }
+        assert_eq!(got, payloads);
+        assert_eq!(asm.pending(), 0);
+        // The consumed prefix is compacted away on the next feed.
+        let tail = frame(&encode_reply(&Reply::ShutdownAck { commits: 1 }));
+        asm.feed(&tail[..3]);
+        assert_eq!(asm.pending(), 3);
+        assert_eq!(asm.next_frame(), Ok(None));
+        asm.feed(&tail[3..]);
+        assert_eq!(asm.next_frame().unwrap(), Some(tail[4..].to_vec()));
+    }
+
+    #[test]
+    fn error_truncation_keeps_a_valid_utf8_prefix() {
+        // 'é' is two bytes and '𝄞' four: 70 000 bytes of either puts
+        // byte 65 535 inside a character.
+        for ch in ['é', '𝄞'] {
+            let message = ch.to_string().repeat(70_000 / ch.len_utf8());
+            let payload = encode_reply(&Reply::Error { code: 4, message: message.clone() });
+            let Ok(Reply::Error { code, message: got }) = decode_reply(&payload) else {
+                panic!("truncated error frame did not decode");
+            };
+            assert_eq!(code, 4);
+            assert!(message.starts_with(&got));
+            assert!(got.len() <= u16::MAX as usize && got.len() > u16::MAX as usize - 4);
+        }
     }
 
     #[test]

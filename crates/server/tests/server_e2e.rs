@@ -110,6 +110,71 @@ fn graceful_shutdown_drains_in_flight_transactions() {
 }
 
 #[test]
+fn one_batch_from_three_connections_replies_per_connection() {
+    // The batch flushes only when full, so all nine submissions land in
+    // one batch, in the order the submissions counter confirms.
+    let n = 9;
+    let config = ServerConfig {
+        entities: 16,
+        batch_deadline: Duration::from_secs(30),
+        batch_max: n,
+        threads: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(config).expect("bind");
+    let addr = server.local_addr().to_string();
+    let mut conns: Vec<Client> = (0..3).map(|_| Client::connect(&addr).expect("connect")).collect();
+    let mut ctl = Client::connect(&addr).expect("connect");
+    let mut stats_replies = 0u64;
+
+    // Interleaved, so no connection's submissions are contiguous.
+    let senders = [0usize, 1, 2, 2, 1, 0, 0, 2, 1];
+    let mut expected: Vec<Vec<(u64, u32)>> = vec![Vec::new(); 3];
+    for (position, &k) in senders.iter().enumerate() {
+        let request_id = conns[k].submit(increment(position as u32, 1)).expect("submit");
+        // Fresh server: submission `position` commits as txn position + 1.
+        expected[k].push((request_id, position as u32 + 1));
+        if position + 1 < n {
+            let queued = format!("\"submissions\":{},", position + 1);
+            while !ctl.stats().expect("stats").contains(&queued) {
+                stats_replies += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            stats_replies += 1;
+        }
+    }
+
+    for (k, c) in conns.iter_mut().enumerate() {
+        let got: Vec<(u64, u32)> = (0..expected[k].len())
+            .map(|_| match c.recv().expect("recv").expect("decode") {
+                Reply::Committed { request_id, txn } => (request_id, txn.raw()),
+                other => panic!("expected Committed, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(got, expected[k], "connection {k}");
+    }
+
+    // Nine COMMITTED frames went out in three writes; the counter counts
+    // frames (the STATS replies sent so far are frames too). The executor
+    // bumps it just after its write returns, so poll briefly.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = ctl.stats().expect("stats");
+        let frames_out = format!("\"frames_out\":{},", n as u64 + stats_replies);
+        stats_replies += 1;
+        assert!(stats.contains("\"batches\":1,"), "stats: {stats}");
+        if stats.contains(&frames_out) {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "want {frames_out} in {stats}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    assert_eq!(ctl.shutdown().expect("shutdown"), n as u64);
+    server.wait().expect("drain");
+}
+
+#[test]
 fn submissions_after_shutdown_are_aborted_not_dropped() {
     let (server, addr) = start_server(16, Duration::from_millis(1));
     let mut straggler = Client::connect(&addr).expect("connect");

@@ -14,7 +14,6 @@ use partial_rollback::prelude::*;
 use partial_rollback::sim::generator::{Clustering, GeneratorConfig, ProgramGenerator};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A deterministic "global value" for each entity, so replays are
 /// comparable.
@@ -94,18 +93,17 @@ proptest! {
             ..Default::default()
         };
         let program = ProgramGenerator::new(cfg, seed).generate();
-        let arc = Arc::new(program.clone());
         let end = program.len() - 1; // stop before COMMIT
 
         // Uninterrupted reference run.
-        let mut reference = TxnRuntime::new(TxnId::new(1), arc.clone(), 0, StrategyKind::Mcs);
+        let mut reference = TxnRuntime::new(TxnId::new(1), program.clone(), 0, StrategyKind::Mcs);
         execute_range(&mut reference, &program, 0, end);
         let want = observable(&reference, &program);
 
         // Interrupted runs: every rollback target.
         let n_locks = program.num_lock_requests();
         for target in 0..n_locks as u32 {
-            let mut rt = TxnRuntime::new(TxnId::new(1), arc.clone(), 0, StrategyKind::Mcs);
+            let mut rt = TxnRuntime::new(TxnId::new(1), program.clone(), 0, StrategyKind::Mcs);
             execute_range(&mut rt, &program, 0, end);
             rt.rollback_to(LockIndex::new(target)).unwrap();
             let resume = rt.pc;
@@ -131,16 +129,15 @@ proptest! {
             ..Default::default()
         };
         let program = ProgramGenerator::new(cfg, seed).generate();
-        let arc = Arc::new(program.clone());
         let end = program.len() - 1;
         let a = analysis::analyze(&program);
 
-        let mut reference = TxnRuntime::new(TxnId::new(1), arc.clone(), 0, StrategyKind::Sdg);
+        let mut reference = TxnRuntime::new(TxnId::new(1), program.clone(), 0, StrategyKind::Sdg);
         execute_range(&mut reference, &program, 0, end);
         let want = observable(&reference, &program);
 
         for target in 0..program.num_lock_requests() as u32 {
-            let mut rt = TxnRuntime::new(TxnId::new(1), arc.clone(), 0, StrategyKind::Sdg);
+            let mut rt = TxnRuntime::new(TxnId::new(1), program.clone(), 0, StrategyKind::Sdg);
             execute_range(&mut rt, &program, 0, end);
             // The runtime SDG and the static analysis must agree on what
             // is well-defined.
@@ -176,12 +173,11 @@ proptest! {
             ..Default::default()
         };
         let program = ProgramGenerator::new(cfg, seed).generate();
-        let arc = Arc::new(program.clone());
         let end = program.len() - 1;
 
         for budget in [1u32, 2, 100] {
             let strategy = StrategyKind::Bounded(budget);
-            let mut reference = TxnRuntime::new(TxnId::new(1), arc.clone(), 0, strategy);
+            let mut reference = TxnRuntime::new(TxnId::new(1), program.clone(), 0, strategy);
             execute_range(&mut reference, &program, 0, end);
             let want = observable(&reference, &program);
             if budget == 100 {
@@ -191,7 +187,7 @@ proptest! {
             }
 
             for target in 0..program.num_lock_requests() as u32 {
-                let mut rt = TxnRuntime::new(TxnId::new(1), arc.clone(), 0, strategy);
+                let mut rt = TxnRuntime::new(TxnId::new(1), program.clone(), 0, strategy);
                 execute_range(&mut rt, &program, 0, end);
                 if !rt.sdg.as_ref().unwrap().is_well_defined(LockIndex::new(target)) {
                     continue; // evicted interval — the engine never aims here
@@ -238,8 +234,7 @@ proptest! {
             ..Default::default()
         };
         let program = ProgramGenerator::new(cfg, seed).generate();
-        let arc = Arc::new(program.clone());
-        let mut rt = TxnRuntime::new(TxnId::new(1), arc, 0, StrategyKind::Mcs);
+        let mut rt = TxnRuntime::new(TxnId::new(1), program.clone(), 0, StrategyKind::Mcs);
         execute_range(&mut rt, &program, 0, program.len() - 1);
         let n = program.num_lock_requests();
         let l = program.num_vars();
@@ -266,8 +261,7 @@ proptest! {
     fn rollback_cost_is_monotone_in_depth((seed, _, _) in generator_strategy()) {
         let cfg = GeneratorConfig { min_locks: 3, max_locks: 7, ..Default::default() };
         let program = ProgramGenerator::new(cfg, seed).generate();
-        let arc = Arc::new(program.clone());
-        let mut rt = TxnRuntime::new(TxnId::new(1), arc, 0, StrategyKind::Mcs);
+        let mut rt = TxnRuntime::new(TxnId::new(1), program.clone(), 0, StrategyKind::Mcs);
         // Execute the growing phase only.
         let first_unlock = program
             .ops()

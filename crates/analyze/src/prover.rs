@@ -31,6 +31,7 @@ use crate::diag::{Diagnostic, LintCode, Span};
 use crate::lock_order::{CycleWitness, HoldRequest};
 use pr_lock::{derive_order, EntityOrder};
 use pr_model::{EntityId, TransactionProgram};
+use pr_sim::report::{json_array_body, json_number, json_string};
 
 /// One certified lock request: at `pc`, the program requests `entity`,
 /// whose certified rank is `rank`. A program's proof is its full request
@@ -307,8 +308,8 @@ impl Certificate {
         if !header.contains(&format!("\"schema\":\"{CERTIFICATE_SCHEMA}\"")) {
             return Err(format!("missing schema marker {CERTIFICATE_SCHEMA}"));
         }
-        let workload = json_str(header, "workload").ok_or("missing workload")?;
-        let order_raw = json_array(header, "order").ok_or("missing order")?;
+        let workload = json_string(header, "workload").ok_or("missing or malformed workload")?;
+        let order_raw = json_array_body(header, "order").ok_or("missing order")?;
         let mut order = Vec::new();
         for tok in order_raw.split(',').filter(|t| !t.is_empty()) {
             order.push(EntityId::new(tok.trim().parse::<u32>().map_err(|e| e.to_string())?));
@@ -319,11 +320,11 @@ impl Certificate {
             if !line.starts_with('{') {
                 continue; // closing "]}"
             }
-            let txn = json_str_or_num(line, "txn")?.parse::<usize>().map_err(|e| e.to_string())?;
-            let hash_hex = json_str(line, "content_hash").ok_or("missing content_hash")?;
+            let txn = json_number::<usize>(line, "txn").ok_or("missing or malformed txn")?;
+            let hash_hex = json_string(line, "content_hash").ok_or("missing content_hash")?;
             let content_hash =
                 u64::from_str_radix(&hash_hex, 16).map_err(|e| format!("bad hash: {e}"))?;
-            let seq_raw = json_array(line, "sequence").ok_or("missing sequence")?;
+            let seq_raw = json_array_body(line, "sequence").ok_or("missing sequence")?;
             let mut sequence = Vec::new();
             for triple in seq_raw.split("],[").filter(|t| !t.is_empty()) {
                 let triple = triple.trim_start_matches('[').trim_end_matches(']');
@@ -353,45 +354,6 @@ fn escape(s: &str) -> String {
             c => vec![c],
         })
         .collect()
-}
-
-/// Extracts the string value of `"key":"..."` from a JSON line.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-/// Extracts the numeric value of `"key":123` from a JSON line.
-fn json_str_or_num(line: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat).ok_or_else(|| format!("missing {key}"))? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Ok(rest[..end].trim().to_string())
-}
-
-/// Extracts the raw interior of `"key":[ ... ]` (bracket-balanced).
-fn json_array(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":[");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut depth = 1i32;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(rest[..i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -471,12 +433,14 @@ mod tests {
     #[test]
     fn certificate_json_round_trips() {
         let programs = [xprog("abd"), xprog("bd"), xprog("ad")];
-        let cert = prove("roundtrip", &programs).certificate().cloned().expect("orderable");
-        let json = cert.to_json();
-        assert!(json.contains(CERTIFICATE_SCHEMA));
-        let parsed = Certificate::from_json(&json).unwrap();
-        assert_eq!(parsed, cert);
-        parsed.verify(&programs).unwrap();
+        for name in ["roundtrip", r#"a"b\c"#] {
+            let cert = prove(name, &programs).certificate().cloned().expect("orderable");
+            let json = cert.to_json();
+            assert!(json.contains(CERTIFICATE_SCHEMA));
+            let parsed = Certificate::from_json(&json).unwrap();
+            assert_eq!(parsed, cert);
+            parsed.verify(&programs).unwrap();
+        }
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! limits.
 
 use pr_lock::GrantPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Which §4 rollback implementation the system runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StrategyKind {
     /// Total removal and restart — the baseline the paper improves on.
     /// Single-copy workspace; every rollback goes to lock state 0.
@@ -71,7 +70,7 @@ impl StrategyKind {
 }
 
 /// How the victim(s) of a deadlock are chosen (§3.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum VictimPolicyKind {
     /// Minimise total rollback cost with full freedom — the §3.1 optimum.
     /// Exercising it without restriction risks *potentially infinite
@@ -115,7 +114,7 @@ impl VictimPolicyKind {
 }
 
 /// Full engine configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SystemConfig {
     /// Rollback implementation.
     pub strategy: StrategyKind,

@@ -5,11 +5,10 @@
 //! bounded when on, so a runaway workload cannot exhaust memory.
 
 use pr_model::{EntityId, LockIndex, LockMode, TxnId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a rollback happened.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RollbackReason {
     /// Chosen as a deadlock victim.
     DeadlockVictim,
@@ -19,7 +18,7 @@ pub enum RollbackReason {
 }
 
 /// One engine event.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Event {
     /// A transaction was admitted.
     Admitted {

@@ -4,7 +4,6 @@
 //! high-water marks, and a JSON-serialisable [`MetricsSnapshot`].
 
 use pr_model::{EntityId, TxnId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -13,7 +12,7 @@ use std::fmt::Write as _;
 /// are O(1), storage is O(log max), and quantiles are read back as the
 /// upper bound of the containing bucket (clamped to the observed max) —
 /// exact enough for p50/p95/p99 in engine steps without storing samples.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LogHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -133,7 +132,7 @@ impl LogHistogram {
 }
 
 /// Counters accumulated by a [`crate::System`] over its lifetime.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Scheduler steps taken (including steps that ended in a wait).
     pub steps: u64,
@@ -294,7 +293,7 @@ impl Metrics {
 }
 
 /// Summary statistics of one [`LogHistogram`], for reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HistogramSummary {
     /// Samples recorded.
     pub count: u64,
@@ -336,7 +335,7 @@ impl HistogramSummary {
 /// like `pr-analyze`, the workspace deliberately has no serde_json, so
 /// machine-readable output is written by hand from static keys and
 /// numeric values (nothing needs escaping).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Scheduler steps taken.
     pub steps: u64,

@@ -11,11 +11,10 @@
 
 use crate::site::SiteId;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One scheduled site failure: the site goes down at `at_tick` (engine
 /// steps are the clock) and comes back `down_ticks` later.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CrashEvent {
     /// The crashing site.
     pub site: SiteId,
@@ -28,7 +27,7 @@ pub struct CrashEvent {
 }
 
 /// A seeded, replayable fault schedule.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaultPlan {
     /// Seed for every per-message random decision.
     pub seed: u64,

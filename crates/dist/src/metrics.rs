@@ -1,10 +1,8 @@
 //! Distributed-system metrics: everything the single-site engine counts,
 //! plus the §3.3 quantities — messages and per-scheme rollback causes.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by a [`crate::DistributedSystem`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DistMetrics {
     /// Atomic operations completed.
     pub ops_executed: u64,

@@ -1,11 +1,10 @@
 //! Sites and entity partitioning.
 
 use pr_model::EntityId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a site in the distributed system.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u16);
 
 impl SiteId {
@@ -36,7 +35,7 @@ impl fmt::Display for SiteId {
 }
 
 /// How entities are assigned to sites.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Partition {
     /// Entity `e` lives at site `e mod n`.
     RoundRobin {

@@ -11,7 +11,6 @@
 //! than a forest.
 
 use pr_model::{EntityId, TxnId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The labelled concurrency graph.
@@ -28,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// assert!(g.reaches_any(t1, &[t3]));
 /// assert!(g.is_forest(), "exclusive-only waits form a forest (Theorem 1)");
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct WaitsForGraph {
     /// `out[holder]` = arcs holder → waiter (waiter waits for holder).
     out: BTreeMap<TxnId, BTreeSet<TxnId>>,

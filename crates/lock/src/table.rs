@@ -3,7 +3,6 @@
 use crate::conflict::{classify_conflict, ConflictType};
 use crate::error::LockError;
 use pr_model::{EntityId, LockIndex, LockMode, StateIndex, TxnId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Grant policy: what happens to a *compatible* request while incompatible
@@ -20,7 +19,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// carries a certified total entity acquisition order (see
 /// [`crate::order`]), letting it skip deadlock-detection bookkeeping for
 /// requests the certificate vouches for.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GrantPolicy {
     /// Paper-faithful (§2): a request compatible with the holders is
     /// granted immediately, even past blocked incompatible waiters.
@@ -65,7 +64,7 @@ impl GrantPolicy {
 /// from which the transaction issued the request ("the last state … in
 /// which T does not hold a lock on A") and the lock index of the lock state
 /// the request created.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HeldLock {
     /// Holder.
     pub txn: TxnId,
@@ -82,7 +81,7 @@ pub struct HeldLock {
 /// A pending request, carrying the same metadata so it can be promoted to
 /// a [`HeldLock`] unchanged when granted (a blocked transaction does not
 /// advance, so the values stay correct while it waits).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WaitingRequest {
     /// Requester.
     pub txn: TxnId,
@@ -124,7 +123,7 @@ pub enum RequestOutcome {
     },
 }
 
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 struct EntityLock {
     holders: Vec<HeldLock>,
     queue: VecDeque<WaitingRequest>,
@@ -193,7 +192,7 @@ impl EntityLock {
 /// let promoted = table.release(t1, a).unwrap();
 /// assert_eq!(promoted[0].txn, t2);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LockTable {
     entities: BTreeMap<EntityId, EntityLock>,
     /// Grant policy (fixed at construction).

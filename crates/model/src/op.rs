@@ -9,11 +9,10 @@
 
 use crate::ids::{EntityId, VarId};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Lock modes of §2: exclusive for read/write access, shared for read-only.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LockMode {
     /// Shared lock (`LS`): many readers may hold it simultaneously.
     Shared,
@@ -50,7 +49,7 @@ impl fmt::Display for LockMode {
 /// Expressions give programs real data semantics, so the test oracles can
 /// observe whether a rollback restored *values* correctly — not merely lock
 /// bookkeeping.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
     /// A literal value.
     Const(Value),
@@ -137,7 +136,7 @@ impl Expr {
 /// One atomic operation of a transaction (§2).
 ///
 /// Executing any `Op` advances the transaction's state index by one.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Op {
     /// `LS(A)` — request a shared lock on entity `A`.
     LockShared(EntityId),

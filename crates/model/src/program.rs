@@ -11,7 +11,6 @@ use crate::error::ModelError;
 use crate::ids::{EntityId, LockIndex, VarId};
 use crate::op::{LockMode, Op};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -21,7 +20,7 @@ use std::sync::Arc;
 /// behind shared pointers: `clone` is O(1) and every copy (a runtime, a
 /// batch, a replay) reads the same storage. Equality still compares
 /// contents.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TransactionProgram {
     ops: Arc<[Op]>,
     initial_vars: Arc<[Value]>,

@@ -18,6 +18,7 @@ use pr_server::load::oracle_check;
 use pr_server::{Client, LoadConfig, LoadResult, Server, ServerConfig};
 use pr_sim::generator::{GeneratorConfig, ProgramGenerator};
 use pr_sim::oracle::OracleReport;
+use pr_sim::report::{json_number, json_string};
 use pr_storage::GlobalStore;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -666,23 +667,6 @@ fn run_bench(o: &Options) -> ExitCode {
 // Perf gate
 // ---------------------------------------------------------------------------
 
-/// Extracts `"key":value` from one serialized row — same scraping the
-/// scaling gate uses; valid because this binary wrote the file.
-fn row_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().trim_matches('"').parse().ok()
-}
-
-fn row_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 /// The server perf gate: re-measure the committed 4096-client / zipf 1.2
 /// / fair-queue cell live and fail on >20% calibrated regression in
 /// throughput or p99. Calibration (a fixed in-process engine workload on
@@ -700,24 +684,24 @@ fn run_gate(o: &Options, path: &std::path::Path) -> ExitCode {
     // Line-by-line: the units stanza also mentions the key (with a
     // string value that fails to parse), so scan for the numeric line.
     let Some(committed_calib) =
-        text.lines().find_map(|l| row_field(l, "calib_throughput")).filter(|c| *c > 0.0)
+        text.lines().find_map(|l| json_number::<f64>(l, "calib_throughput")).filter(|c| *c > 0.0)
     else {
         eprintln!("pr-load: no calib_throughput in {}", path.display());
         return ExitCode::FAILURE;
     };
     let gate_cell = &BENCH_CELLS[3]; // 4096 clients, zipf 1.2, fair-queue, wal off
     let committed = text.lines().find(|l| {
-        row_field(l, "clients") == Some(gate_cell.0 as f64)
-            && row_field(l, "zipf_centi") == Some(f64::from(gate_cell.1))
-            && row_str_field(l, "policy").as_deref() == Some(gate_cell.2)
-            && row_str_field(l, "wal").as_deref() == Some(gate_cell.5)
+        json_number(l, "clients") == Some(gate_cell.0)
+            && json_number(l, "zipf_centi") == Some(gate_cell.1)
+            && json_string(l, "policy").as_deref() == Some(gate_cell.2)
+            && json_string(l, "wal").as_deref() == Some(gate_cell.5)
     });
     let Some(committed) = committed else {
         eprintln!("pr-load: gate cell not found in {}", path.display());
         return ExitCode::FAILURE;
     };
     let (Some(committed_thr), Some(committed_p99)) =
-        (row_field(committed, "throughput"), row_field(committed, "p99_us"))
+        (json_number::<f64>(committed, "throughput"), json_number::<f64>(committed, "p99_us"))
     else {
         eprintln!("pr-load: malformed gate row in {}", path.display());
         return ExitCode::FAILURE;
@@ -802,10 +786,10 @@ fn run_gate_durability(o: &Options, path: &std::path::Path) -> ExitCode {
     };
     let find_row = |wal: &str| {
         text.lines().find(|l| {
-            row_field(l, "clients") == Some(512.0)
-                && row_field(l, "zipf_centi") == Some(120.0)
-                && row_str_field(l, "policy").as_deref() == Some("fair-queue")
-                && row_str_field(l, "wal").as_deref() == Some(wal)
+            json_number(l, "clients") == Some(512)
+                && json_number(l, "zipf_centi") == Some(120)
+                && json_string(l, "policy").as_deref() == Some("fair-queue")
+                && json_string(l, "wal").as_deref() == Some(wal)
         })
     };
     let (Some(per_batch), Some(per_txn)) = (find_row("per-batch"), find_row("per-txn")) else {
@@ -816,9 +800,9 @@ fn run_gate_durability(o: &Options, path: &std::path::Path) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let (Some(pb_thr), Some(pb_p99), Some(pt_thr)) = (
-        row_field(per_batch, "throughput"),
-        row_field(per_batch, "p99_us"),
-        row_field(per_txn, "throughput"),
+        json_number::<f64>(per_batch, "throughput"),
+        json_number::<f64>(per_batch, "p99_us"),
+        json_number::<f64>(per_txn, "throughput"),
     ) else {
         eprintln!("pr-load: malformed durability rows in {}", path.display());
         return ExitCode::FAILURE;
@@ -837,7 +821,7 @@ fn run_gate_durability(o: &Options, path: &std::path::Path) -> ExitCode {
     );
 
     let Some(committed_calib) =
-        text.lines().find_map(|l| row_field(l, "calib_throughput")).filter(|c| *c > 0.0)
+        text.lines().find_map(|l| json_number::<f64>(l, "calib_throughput")).filter(|c| *c > 0.0)
     else {
         eprintln!("pr-load: no calib_throughput in {}", path.display());
         return ExitCode::FAILURE;

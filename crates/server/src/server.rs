@@ -494,31 +494,35 @@ fn executor_loop(
                     }
                     commits += outcome.commits() as u64;
                     history.extend(outcome.accesses);
-                    // Group commit: every reply in the batch goes out
-                    // after the whole batch reached quiescence.
-                    send_committed(&shared, &submitters, base);
                 }
                 Err(e) => return Err(fail_batch(e, &shared)),
             }
             batches += 1;
-            let mut m = shared.batch_metrics.lock().expect("metrics poisoned");
-            m.batches = batches;
-            m.commits = commits;
-            m.batch_fill.record(programs.len() as u64);
-            if let Some(j) = &journal {
-                let s = j.stats();
-                m.wal_appends = s.appends;
-                m.wal_fsyncs = s.syncs;
-                m.wal_bytes = s.bytes;
+            // Publish the batch's metrics before its replies, so a client
+            // holding a COMMITTED reply never reads a STATS that lags it.
+            {
+                let mut m = shared.batch_metrics.lock().expect("metrics poisoned");
+                m.batches = batches;
+                m.commits = commits;
+                m.batch_fill.record(programs.len() as u64);
+                if let Some(j) = &journal {
+                    let s = j.stats();
+                    m.wal_appends = s.appends;
+                    m.wal_fsyncs = s.syncs;
+                    m.wal_bytes = s.bytes;
+                }
+                for us in wait_us {
+                    m.group_wait_us.record(us);
+                }
+                match reason {
+                    FlushReason::Full => m.flushes_full += 1,
+                    FlushReason::Deadline => m.flushes_deadline += 1,
+                    FlushReason::Drain => {}
+                }
             }
-            for us in wait_us {
-                m.group_wait_us.record(us);
-            }
-            match reason {
-                FlushReason::Full => m.flushes_full += 1,
-                FlushReason::Deadline => m.flushes_deadline += 1,
-                FlushReason::Drain => {}
-            }
+            // Group commit: every reply in the batch goes out after the
+            // whole batch reached quiescence.
+            send_committed(&shared, &submitters, base);
         }
 
         for control in controls {

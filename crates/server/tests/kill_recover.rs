@@ -23,6 +23,7 @@
 use pr_model::{EntityId, Expr, Op, Value, VarId};
 use pr_server::load::{client_programs, oracle_check};
 use pr_server::{run_load, Client, DurabilityConfig, LoadConfig, Reply, Server, ServerConfig};
+use pr_sim::report::json_number;
 use pr_storage::wal::{replay, FlushPolicy, FsDir};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader};
@@ -82,21 +83,13 @@ fn wait_for_commits(addr: &str, want: u64) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let stats = c.stats().expect("stats");
-        let commits = json_u64(&stats, "commits");
+        let commits: u64 = json_number(&stats, "commits").expect("commits in STATS");
         if commits >= want {
             return commits;
         }
         assert!(Instant::now() < deadline, "server never reached {want} commits: {stats}");
         std::thread::sleep(Duration::from_millis(2));
     }
-}
-
-/// Pulls an integer field out of the hand-rolled metrics JSON.
-fn json_u64(json: &str, field: &str) -> u64 {
-    let key = format!("\"{field}\":");
-    let rest =
-        &json[json.find(&key).unwrap_or_else(|| panic!("no {field} in {json}")) + key.len()..];
-    rest.chars().take_while(char::is_ascii_digit).collect::<String>().parse().expect("int field")
 }
 
 /// Decodes the durable prefix straight off the on-disk WAL and returns
@@ -174,7 +167,7 @@ fn sigkill_mid_load_recovers_every_acked_txn() {
     control.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
     let stats = control.stats().expect("stats");
     assert_eq!(
-        json_u64(&stats, "txns_recovered"),
+        json_number::<u64>(&stats, "txns_recovered").expect("txns_recovered in STATS"),
         wal_map.len() as u64,
         "recovered txn count must match the durable prefix: {stats}"
     );

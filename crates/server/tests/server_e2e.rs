@@ -7,6 +7,7 @@ use pr_model::{EntityId, Expr, Op, Value, VarId};
 use pr_server::load::oracle_check;
 use pr_server::wire::AbortReason;
 use pr_server::{run_load, Client, LoadConfig, Reply, Server, ServerConfig};
+use pr_sim::report::json_number;
 use std::time::Duration;
 
 fn start_server(entities: u32, batch_deadline: Duration) -> (Server, String) {
@@ -68,6 +69,26 @@ fn submit_commit_stats_history_round_trip() {
     assert_eq!(commits, n);
     let summary = server.wait().expect("quiescent drain");
     assert_eq!(summary.commits, n);
+}
+
+/// The executor publishes a batch's metrics before its replies, so a
+/// client that holds its COMMITTED reply never reads a `commits` that lags
+/// it.
+#[test]
+fn stats_never_lag_a_received_commit() {
+    let (server, addr) = start_server(16, Duration::from_millis(1));
+    let mut c = Client::connect(&addr).expect("connect");
+    for i in 0..200u64 {
+        c.submit(increment((i % 16) as u32, 1)).expect("submit");
+        match c.recv().expect("recv").expect("decode") {
+            Reply::Committed { .. } => {}
+            other => panic!("expected Committed, got {other:?}"),
+        }
+        let stats = c.stats().expect("stats");
+        assert_eq!(json_number::<u64>(&stats, "commits"), Some(i + 1), "stats: {stats}");
+    }
+    assert_eq!(c.shutdown().expect("shutdown"), 200);
+    server.wait().expect("quiescent drain");
 }
 
 #[test]

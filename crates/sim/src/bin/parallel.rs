@@ -35,7 +35,7 @@ use pr_core::{GrantPolicy, StrategyKind, SystemConfig, VictimPolicyKind};
 use pr_par::{run_parallel, ParConfig};
 use pr_sim::generator::{GeneratorConfig, ProgramGenerator};
 use pr_sim::oracle::check_outcome;
-use pr_sim::report::Table;
+use pr_sim::report::{json_number, json_string, Table};
 use pr_sim::runner::{run_workload, store_with, SchedulerKind};
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -396,24 +396,6 @@ fn run_sweep(o: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Extracts `"key":value` from one serialized row. Only used on the
-/// bench grid this binary itself writes (`parallel_json`), so a scan for
-/// the literal key is sufficient — no general JSON parser needed.
-fn row_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().trim_matches('"').parse().ok()
-}
-
-fn row_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 /// One (zipf, strategy) scaling curve: throughput per thread count.
 type Curves = std::collections::BTreeMap<(u16, String), Vec<(usize, f64)>>;
 
@@ -472,15 +454,15 @@ fn run_gate(o: &Options, path: &std::path::Path) -> ExitCode {
     let mut committed = Vec::new();
     for line in text.lines().filter(|l| l.contains("\"zipf_centi\"")) {
         let (Some(zipf), Some(threads), Some(strategy), Some(thr)) = (
-            row_field(line, "zipf_centi"),
-            row_field(line, "threads"),
-            row_str_field(line, "strategy"),
-            row_field(line, "throughput"),
+            json_number(line, "zipf_centi"),
+            json_number(line, "threads"),
+            json_string(line, "strategy"),
+            json_number(line, "throughput"),
         ) else {
             eprintln!("parallel: malformed row in {}: {line}", path.display());
             return ExitCode::FAILURE;
         };
-        committed.push((zipf as u16, threads as usize, strategy, thr));
+        committed.push((zipf, threads, strategy, thr));
     }
     if committed.is_empty() {
         eprintln!("parallel: no rows found in {}", path.display());

@@ -24,8 +24,8 @@ use pr_core::StrategyKind;
 use pr_sim::report::Table;
 use pr_sim::stress::{
     gate_against_baseline, gate_repair_against_baseline, ordered_fight, parse_throughput_json,
-    throughput_json, throughput_sweep_for, ThroughputRow, GATE_CONCURRENCY, GATE_MAX_DROP,
-    GATE_ZIPF_CENTI,
+    throughput_json, throughput_sweep_for, BaselineRow, ThroughputRow, GATE_CONCURRENCY,
+    GATE_MAX_DROP, GATE_ZIPF_CENTI,
 };
 use std::process::ExitCode;
 
@@ -173,20 +173,23 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Reads and parses a committed baseline; a missing or malformed file is
+/// a usage error (exit 2), reported on stderr.
+fn load_baseline(path: &std::path::Path) -> Result<Vec<BaselineRow>, ExitCode> {
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("throughput: cannot read baseline {}: {e}", path.display());
+        ExitCode::from(2)
+    })?;
+    parse_throughput_json(&text).map_err(|e| {
+        eprintln!("throughput: {e}");
+        ExitCode::from(2)
+    })
+}
+
 fn run_gate(baseline_path: &std::path::Path, ordered: bool) -> ExitCode {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("throughput: cannot read baseline {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let baseline = match parse_throughput_json(&text) {
+    let baseline = match load_baseline(baseline_path) {
         Ok(b) => b,
-        Err(e) => {
-            eprintln!("throughput: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     // Re-measure only the gate cell, at the baseline's full resolution
     // (96 txns × 3 seeds), so noise stays well under the 20% threshold.
@@ -233,19 +236,9 @@ fn run_gate(baseline_path: &std::path::Path, ordered: bool) -> ExitCode {
 }
 
 fn run_gate_repair(baseline_path: &std::path::Path) -> ExitCode {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("throughput: cannot read baseline {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let baseline = match parse_throughput_json(&text) {
+    let baseline = match load_baseline(baseline_path) {
         Ok(b) => b,
-        Err(e) => {
-            eprintln!("throughput: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     // The accounting invariants compare repair to MCS on the same
     // deterministic cell, so both strategies must be re-measured live.

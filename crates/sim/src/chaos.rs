@@ -21,10 +21,9 @@ use crate::generator::{GeneratorConfig, ProgramGenerator};
 use crate::runner::{store_with, RandomScheduler};
 use pr_core::{EngineError, StrategyKind};
 use pr_dist::{CrossSiteScheme, DistConfig, DistMetrics, DistributedSystem, FaultPlan, Partition};
-use serde::{Deserialize, Serialize};
 
 /// Knobs for one chaos run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Master seed: workload, scheduler, and (for [`ChaosConfig::seeded`])
     /// the fault plan all derive from it.
@@ -71,7 +70,7 @@ impl ChaosConfig {
 }
 
 /// How a chaos run ended.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ChaosVerdict {
     /// Every transaction settled and every invariant held.
     Settled,
@@ -92,7 +91,7 @@ impl ChaosVerdict {
 }
 
 /// Outcome of one chaos run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChaosReport {
     /// The verdict.
     pub verdict: ChaosVerdict,
@@ -214,7 +213,7 @@ pub fn chaos_sweep(
 }
 
 /// One row of the fault-rate grid behind `EXPERIMENTS.md` table T2.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FaultGridRow {
     /// Cross-site scheme.
     pub scheme: String,

@@ -18,10 +18,10 @@
 //!   sets the paper derives;
 //! * [`experiments`] — parameter sweeps behind every quantitative claim
 //!   (lost progress, storage overhead, victim-policy behaviour, cut-set
-//!   solver quality, concurrency scaling), shared by the Criterion benches
-//!   and the `experiments` binary that regenerates `EXPERIMENTS.md`'s
-//!   tables;
-//! * [`report`] — plain-text table and CSV rendering;
+//!   solver quality, concurrency scaling), behind the `experiments`
+//!   binary that regenerates `EXPERIMENTS.md`'s tables;
+//! * [`report`] — plain-text table and CSV rendering, and the field
+//!   reader for the workspace's one-line JSON;
 //! * [`stress`] — open/closed-loop high-contention drivers with
 //!   Zipf-skewed access, transaction-latency histograms, and the
 //!   throughput sweep behind `BENCH_throughput.json`.

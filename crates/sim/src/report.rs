@@ -1,6 +1,8 @@
-//! Plain-text tables and CSV output for experiment results.
+//! Plain-text tables and CSV output for experiment results, and the one
+//! field reader for the JSON this workspace writes.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// A simple aligned text table.
 #[derive(Clone, Debug)]
@@ -110,6 +112,67 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// The raw text of `key`'s value in a JSON object written on one line:
+/// a `BENCH_*.json` row, a `STATS` reply, a certificate line. A string
+/// keeps its quotes and escapes; an array or object keeps its brackets.
+/// `None` when the key is absent or its value does not end on the line.
+///
+/// This is not a general JSON parser (the workspace has no serde_json):
+/// it takes the first `"key":` on the line, so a key inside an earlier
+/// nested object shadows a later one.
+pub fn json_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let tag = format!("\"{key}\":");
+    let rest = line[line.find(&tag)? + tag.len()..].trim_start();
+    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+    for (i, c) in rest.char_indices() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' if depth == 0 => return Some(&rest[..=i]),
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '[' | '{' => depth += 1,
+            ']' | '}' if depth == 1 => return Some(&rest[..=i]),
+            ']' | '}' if depth > 1 => depth -= 1,
+            ']' | '}' | ',' if depth == 0 => return Some(rest[..i].trim_end()),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// `key`'s bare (unquoted) value parsed as `T`; `None` when absent or
+/// unparsable.
+pub fn json_number<T: FromStr>(line: &str, key: &str) -> Option<T> {
+    json_value(line, key)?.parse().ok()
+}
+
+/// `key`'s string value with the writers' `\"` and `\\` escapes undone;
+/// `None` when absent, not a string, or carrying any other escape.
+pub fn json_string(line: &str, key: &str) -> Option<String> {
+    let raw = json_value(line, key)?.strip_prefix('"')?.strip_suffix('"')?;
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => chars.next().filter(|e| matches!(e, '"' | '\\'))?,
+            c => c,
+        });
+    }
+    Some(out)
+}
+
+/// The text between the brackets of `key`'s array value.
+pub fn json_array_body<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    json_value(line, key)?.strip_prefix('[')?.strip_suffix(']')
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,5 +225,29 @@ mod tests {
     fn f2_formats() {
         assert_eq!(f2(1.005), "1.00");
         assert_eq!(f2(2.5), "2.50");
+    }
+
+    #[test]
+    fn json_reader_takes_each_value_kind() {
+        let line = r#"{"n": 12,"s":"a\"b\\c,}","v":[[1,2],[3]],"o":{"k":"]"},"last":-1.5}"#;
+        assert_eq!(json_value(line, "n"), Some("12"));
+        assert_eq!(json_number::<u32>(line, "n"), Some(12));
+        assert_eq!(json_string(line, "s").as_deref(), Some(r#"a"b\c,}"#));
+        assert_eq!(json_array_body(line, "v"), Some("[1,2],[3]"));
+        assert_eq!(json_value(line, "o"), Some(r#"{"k":"]"}"#));
+        assert_eq!(json_number::<f64>(line, "last"), Some(-1.5));
+    }
+
+    #[test]
+    fn json_reader_refuses_what_it_cannot_read() {
+        let line = r#"{"n":12,"s":"x","bad":"a\nb","u":7"#;
+        assert_eq!(json_value(line, "missing"), None);
+        assert_eq!(json_number::<u32>(line, "s"), None);
+        assert_eq!(json_string(line, "n"), None);
+        assert_eq!(json_array_body(line, "n"), None);
+        assert_eq!(json_string(line, "bad"), None);
+        assert_eq!(json_value(line, "u"), None, "unterminated value");
+        assert_eq!(json_value(r#"{"s":"open"#, "s"), None);
+        assert_eq!(json_value(r#"{"v":[1,[2]"#, "v"), None);
     }
 }

@@ -6,7 +6,6 @@ use pr_model::{TransactionProgram, TxnId, Value};
 use pr_storage::{GlobalStore, Snapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A seeded uniformly random scheduler — the adversary-free interleaving
 /// used by the quantitative experiments.
@@ -29,7 +28,7 @@ impl Scheduler for RandomScheduler {
 }
 
 /// Scheduler selection for [`run_workload`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SchedulerKind {
     /// Deterministic round-robin.
     RoundRobin,
@@ -41,7 +40,7 @@ pub enum SchedulerKind {
 }
 
 /// Outcome of one workload run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunReport {
     /// Engine metrics at completion.
     pub metrics: Metrics,

@@ -18,6 +18,7 @@
 //! carries no serde_json.
 
 use crate::generator::{GeneratorConfig, ProgramGenerator};
+use crate::report::{json_string, json_value};
 use crate::runner::store_with;
 use pr_core::{
     EngineError, EntityOrder, GrantPolicy, LogHistogram, Metrics, StepOutcome, StrategyKind,
@@ -26,12 +27,11 @@ use pr_core::{
 use pr_model::TxnId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// How new transactions arrive.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Arrival {
     /// Closed loop: a fixed population of `concurrency` live transactions;
     /// every commit admits a replacement until `total_txns` have entered.
@@ -46,7 +46,7 @@ pub enum Arrival {
 }
 
 /// Knobs for one stress run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StressConfig {
     /// Transactions to admit over the whole run.
     pub total_txns: usize,
@@ -161,7 +161,7 @@ pub fn long_vs_oltp(strategy: StrategyKind, seed: u64) -> StressConfig {
 }
 
 /// Outcome of one stress run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StressReport {
     /// Transactions committed.
     pub commits: u64,
@@ -301,7 +301,7 @@ pub fn run_stress(cfg: &StressConfig) -> Result<StressReport, EngineError> {
 
 /// One cell of the throughput grid: a (contention, concurrency, grant
 /// policy, strategy) combination aggregated over seeds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ThroughputRow {
     /// Zipf exponent ×100.
     pub zipf_centi: u16,
@@ -578,52 +578,33 @@ pub fn parse_throughput_json(text: &str) -> Result<Vec<BaselineRow>, String> {
         if !line.trim_start().starts_with('{') || !line.contains("\"zipf_centi\"") {
             continue;
         }
+        let field =
+            |key: &str| json_value(line, key).ok_or_else(|| format!("missing {key:?} in: {line}"));
+        let bad = || format!("malformed baseline row: {line}");
+        // The repair ledgers read 0 in baselines that predate them, but a
+        // ledger that is present must parse.
+        let ledger = |key: &str| {
+            if line.contains(&format!("\"{key}\":")) {
+                field(key)?.parse().map_err(|_| bad())
+            } else {
+                Ok(0)
+            }
+        };
         rows.push(BaselineRow {
-            zipf_centi: json_num(line, "zipf_centi")?.parse().map_err(|_| bad(line))?,
-            concurrency: json_num(line, "concurrency")?.parse().map_err(|_| bad(line))?,
-            policy: json_str(line, "policy")?,
-            strategy: json_str(line, "strategy")?,
-            throughput_kilo: json_num(line, "throughput_kilo")?.parse().map_err(|_| bad(line))?,
-            states_lost: json_num_or_zero(line, "states_lost")?,
-            ops_replayed: json_num_or_zero(line, "ops_replayed")?,
-            ops_reused: json_num_or_zero(line, "ops_reused")?,
+            zipf_centi: field("zipf_centi")?.parse().map_err(|_| bad())?,
+            concurrency: field("concurrency")?.parse().map_err(|_| bad())?,
+            policy: json_string(line, "policy").ok_or_else(bad)?,
+            strategy: json_string(line, "strategy").ok_or_else(bad)?,
+            throughput_kilo: field("throughput_kilo")?.parse().map_err(|_| bad())?,
+            states_lost: ledger("states_lost")?,
+            ops_replayed: ledger("ops_replayed")?,
+            ops_reused: ledger("ops_reused")?,
         });
     }
     if rows.is_empty() {
         return Err("baseline contains no rows".into());
     }
     Ok(rows)
-}
-
-fn bad(line: &str) -> String {
-    format!("malformed baseline row: {line}")
-}
-
-/// `"key":<u64>` in a flat one-line JSON object, 0 when the key is
-/// absent (pre-repair baselines) but still an error when present and
-/// malformed.
-fn json_num_or_zero(line: &str, key: &str) -> Result<u64, String> {
-    if !line.contains(&format!("\"{key}\":")) {
-        return Ok(0);
-    }
-    json_num(line, key)?.parse().map_err(|_| bad(line))
-}
-
-/// The raw text of `"key":<number>` in a flat one-line JSON object.
-fn json_num<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag).ok_or_else(|| format!("missing {key:?} in: {line}"))? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).ok_or_else(|| bad(line))?;
-    Ok(rest[..end].trim())
-}
-
-fn json_str(line: &str, key: &str) -> Result<String, String> {
-    let raw = json_num(line, key)?;
-    raw.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(String::from)
-        .ok_or_else(|| bad(line))
 }
 
 /// A perf-gate comparison for one (policy, strategy) cell at the gate
